@@ -138,16 +138,12 @@ func twoHopParts(g *graph.Graph, k int, opt Options, visit func(u, v graph.NodeI
 	return parts
 }
 
-// predictTwoHop is the full sharded 2-hop Predict path: sweep, merge, sort.
-func predictTwoHop(g *graph.Graph, k int, opt Options, visit func(u, v graph.NodeID, top *topK)) []Pair {
-	return mergeTopK(k, opt.Seed, twoHopParts(g, k, opt, visit)).Result()
-}
-
-// predictFusedTwoHop is the kernel fast path of predictTwoHop: identical
-// sharding, candidate set, telemetry (nodes_swept, and pairs_scored via the
-// per-worker selectors), and merge contract, but scoring accumulates inside
-// the wedge sweep through kern instead of intersecting adjacency lists per
-// pair. The visit-callback path above stays as the reference implementation
+// predictFusedTwoHop is the kernel fast path of the visit-callback sweep
+// (twoHopParts): identical sharding, candidate set, telemetry (nodes_swept,
+// and pairs_scored via the per-worker selectors), and merge contract, but
+// scoring accumulates inside the wedge sweep through kern instead of
+// intersecting adjacency lists per pair. The per-pair intersection path
+// (predictTwoHop, reference_test.go) stays as the reference implementation
 // the fused kernels are property-tested against (TestFusedKernels*).
 func predictFusedTwoHop(g *graph.Graph, k int, opt Options, kern sweepKernel) []Pair {
 	n := g.NumNodes()

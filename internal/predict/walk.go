@@ -270,14 +270,17 @@ const pprPerSource = 256
 
 func (pprAlgorithm) Name() string { return "PPR" }
 
-// pprScratch is one worker's forward-push state.
+// pprScratch is one worker's forward-push state. inQueue flags the nodes
+// currently in queue; every push drains its queue, so the flags are all
+// clear again between pushes.
 type pprScratch struct {
-	p, r  *sparseVec
-	queue []graph.NodeID
+	p, r    *sparseVec
+	queue   []graph.NodeID
+	inQueue []bool
 }
 
 func newPPRScratch(n int) *pprScratch {
-	return &pprScratch{p: newSparseVec(n), r: newSparseVec(n), queue: make([]graph.NodeID, 0, 1024)}
+	return &pprScratch{p: newSparseVec(n), r: newSparseVec(n), queue: make([]graph.NodeID, 0, 1024), inQueue: make([]bool, n)}
 }
 
 // pprPush runs forward push from u, leaving the estimate in s.p. A
@@ -293,11 +296,12 @@ func pprPush(g *graph.Graph, u graph.NodeID, alpha, eps float64, s *pprScratch) 
 	r.add(u, 1)
 	q := s.queue[:0]
 	q = append(q, u)
-	inQueue := map[graph.NodeID]bool{u: true}
+	inQueue := s.inQueue
+	inQueue[u] = true
 	for len(q) > 0 {
 		x := q[0]
 		q = q[1:]
-		delete(inQueue, x)
+		inQueue[x] = false
 		rx := r.val[x]
 		d := g.Degree(x)
 		if d == 0 {

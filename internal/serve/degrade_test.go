@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -38,8 +39,10 @@ func (s *slowLatent) ScorePairs(g *graph.Graph, pairs []predict.Pair, opt predic
 //     Degraded with ServedBy "AA", and are bit-identical to running AA
 //     offline on the same snapshot — degradation never makes output
 //     nondeterministic;
-//  3. fast proxy sweeps recover the controller after RecoverAfter healthy
-//     observations, and the next Katz request takes the latent path again;
+//  3. fast proxy answers recover the controller after RecoverAfter healthy
+//     observations, and the next Katz request takes the latent path again:
+//     on the same epoch it is answered from the snapshot's memo without a
+//     sweep, and after a new publish it really sweeps (and trips) again;
 //  4. serve/degraded_responses matches the flagged responses exactly.
 func TestDegradationProperty(t *testing.T) {
 	obs.Enable(true)
@@ -113,9 +116,28 @@ func TestDegradationProperty(t *testing.T) {
 		}
 	}
 
-	// 3. recoverAfter fast proxy sweeps re-enable the latent path.
+	// 3. recoverAfter fast proxy answers re-enable the latent path. A Katz
+	// repeat on the same epoch is a memo hit: the latent path answers
+	// without sweeping, so the controller stays recovered.
 	if s.Degraded() {
 		t.Fatalf("controller still degraded after %d healthy sweeps", recoverAfter)
+	}
+	r4 := ask()
+	if r4.Degraded || r4.ServedBy != "Katz" {
+		t.Fatalf("same-epoch repeat: served_by=%s degraded=%v, want the latent path", r4.ServedBy, r4.Degraded)
+	}
+	if slow.calls != 1 {
+		t.Fatalf("same-epoch repeat swept: latent path ran %d times, want 1", slow.calls)
+	}
+	if !reflect.DeepEqual(r4, r1) {
+		t.Fatal("same-epoch repeat differs from the swept answer")
+	}
+	// A new epoch makes the next Katz request sweep the latent path again.
+	if _, _, err := s.Ingest([]Event{{U: 1 << 40, V: 1<<40 + 1, T: snap.Time + 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if next := s.Flush(); next.Seq == snap.Seq {
+		t.Fatal("flush published no new snapshot")
 	}
 	r5 := ask()
 	if r5.Degraded || r5.ServedBy != "Katz" {

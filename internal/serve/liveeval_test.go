@@ -326,6 +326,7 @@ func TestMetricsEndpointForms(t *testing.T) {
 		`linkpred_serve_snapshot_age_seconds`,
 		`linkpred_serve_publish_lag_edges`,
 		`linkpred_predict_predict_ns_count{alg="CN"}`,
+		`linkpred_serve_predict_memo_total{result="miss"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("prom exposition missing %s", want)

@@ -20,6 +20,12 @@
 //   - Same-algorithm pair-score requests waiting in the queue coalesce
 //     into one ScorePairs sweep (per-pair results are independent of batch
 //     composition, so coalescing is invisible in the payload).
+//   - Each snapshot memoises the top-k predictions answered on it, keyed by
+//     (served algorithm, k, swept source range): a repeat on the same
+//     epoch is a lookup, concurrent identical requests share one sweep, and
+//     a sweep cut short by its deadline is never retained
+//     (TestPredictMemoProperty, TestPredictMemoSingleFlight,
+//     TestPredictMemoCancellation).
 //   - Under pressure — rolling p95 latency or queue depth over threshold —
 //     latent-family requests (Katz, KatzSC, Rescal) degrade to fused
 //     local-metric proxies and the response is flagged Degraded, with
@@ -166,6 +172,10 @@ type Snapshot struct {
 	Edges int
 	// Time is the snapshot's trace time (last applied event).
 	Time int64
+
+	// memo holds the ranked top-k of every prediction answered on this
+	// snapshot, so a repeat on the same epoch skips the sweep.
+	memo predictMemo
 }
 
 // PairScore is one scored pair in external ID space. DU/DV carry the
@@ -1018,7 +1028,8 @@ func (s *Server) route(name string) (predict.Algorithm, string, bool, error) {
 	return a, name, false, err
 }
 
-// servePredict runs one top-k sweep.
+// servePredict answers one top-k query, from the snapshot's memo when the
+// same (served algorithm, k, range) was already swept on it.
 func (s *Server) servePredict(r *request, snap *Snapshot) {
 	start := time.Now()
 	if r.ctx.Err() != nil {
@@ -1059,10 +1070,14 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 		srange = predict.WeightedSourceRangesFor(snap.Graph, r.shards, model)[r.shard]
 		opt.SourceRange = &srange
 	}
-	pairs := alg.Predict(snap.Graph, r.k, opt)
-	if r.ctx.Err() != nil {
-		// The sweep was cut short; the partial top-k is not the contract's
-		// bit-identical answer, so it is discarded.
+	key := memoKey{alg: served, k: r.k, ranged: opt.SourceRange != nil, lo: srange.Lo, hi: srange.Hi}
+	pairs, swept, err := snap.memo.do(r.ctx, key, func() []predict.Pair {
+		return alg.Predict(snap.Graph, r.k, opt)
+	})
+	if err != nil {
+		// The sweep was cut short, or the wait for another request's sweep
+		// outlived this request's deadline; a partial top-k is not the
+		// contract's bit-identical answer, so it is never returned.
 		s.finishDeadline(r)
 		return
 	}
@@ -1104,7 +1119,13 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 		}
 		s.cfg.Eval.Record(served, snap.Seq, snap.Edges, int(s.traceLen.Load()), ranked)
 	}
-	s.noteServed(r.alg, served, time.Since(start))
+	lat := time.Since(start)
+	if swept {
+		// A memo hit costs no sweep; pricing it would make the memoised
+		// algorithm look free to accuracy-per-cost routing.
+		s.noteCost(served, lat)
+	}
+	s.noteServed(r.alg, served, lat)
 	r.done <- outcome{res: res}
 }
 
@@ -1210,15 +1231,15 @@ func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
 		}
 		r.done <- outcome{res: res}
 	}
-	s.noteServed(leader.alg, served, time.Since(start))
+	lat := time.Since(start)
+	s.noteCost(served, lat)
+	s.noteServed(leader.alg, served, lat)
 }
 
-// noteServed records one executed sweep: the per-(requested, served)
-// routing counter, the served algorithm's decayed latency cost for
-// accuracy-per-cost routing, and the degradation controller's
+// noteServed records one answered request or coalesced batch: the
+// per-(requested, served) routing counter and the degradation controller's
 // latency/queue observation.
 func (s *Server) noteServed(reqAlg, served string, lat time.Duration) {
-	s.noteCost(served, lat)
 	if obs.Enabled() {
 		obs.GetCounter(`serve/served{alg="` + reqAlg + `",by="` + served + `"}`).Inc()
 	}
