@@ -21,7 +21,7 @@
 // file; -fail-on-regress turns that into a nonzero exit for CI.
 //
 // Each algorithm is warmed once before timing, so per-snapshot cached
-// artifacts (CSR adjacency, latent factor matrices — see internal/snapcache)
+// artifacts (degree order, latent factor matrices — see internal/snapcache)
 // are built outside the timed loop: the latent-family rows measure scoring
 // against warm factors, the steady state of an evaluation sweep.
 package main

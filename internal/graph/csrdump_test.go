@@ -21,12 +21,29 @@ func csrTestTrace() *Trace {
 	return t
 }
 
+// csrOf dumps g's rows in compressed-sparse-row form, the shape the
+// checkpoint encoder streams to disk.
+func csrOf(g *Graph) (rowptr []int64, cols []NodeID) {
+	rowptr = make([]int64, 1, g.NumNodes()+1)
+	for u := 0; u < g.NumNodes(); u++ {
+		cols = append(cols, g.Neighbors(NodeID(u))...)
+		rowptr = append(rowptr, int64(len(cols)))
+	}
+	return rowptr, cols
+}
+
 func requireSameGraph(t *testing.T, got, want *Graph, label string) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.Time != want.Time {
 		t.Fatalf("%s: got %v, want %v", label, got, want)
 	}
+	if a, b := got.ResidentBytes(), want.ResidentBytes(); a != b {
+		t.Fatalf("%s: ResidentBytes %d, want %d", label, a, b)
+	}
 	for u := 0; u < want.NumNodes(); u++ {
+		if a, b := got.Degree(NodeID(u)), want.Degree(NodeID(u)); a != b {
+			t.Fatalf("%s: node %d Degree %d, want %d", label, u, a, b)
+		}
 		a, b := got.Neighbors(NodeID(u)), want.Neighbors(NodeID(u))
 		if len(a) != len(b) {
 			t.Fatalf("%s: node %d degree %d, want %d", label, u, len(a), len(b))
@@ -43,7 +60,7 @@ func TestCSRRoundTrip(t *testing.T) {
 	tr := csrTestTrace()
 	for _, m := range []int{0, 1, 7, tr.NumEdges()} {
 		g := tr.SnapshotAtEdge(m)
-		rowptr, cols := g.CSR()
+		rowptr, cols := csrOf(g)
 		back, err := FromCSR(g.NumNodes(), rowptr, cols, g.NumEdges(), g.Time)
 		if err != nil {
 			t.Fatalf("FromCSR at %d: %v", m, err)
@@ -53,12 +70,11 @@ func TestCSRRoundTrip(t *testing.T) {
 }
 
 func TestCSRRoundTripPaged(t *testing.T) {
-	// Paged snapshots (incremental emissions) must dump identically to
-	// flat ones.
+	// Incremental emissions must dump identically to offline snapshots.
 	tr := csrTestTrace()
 	b := NewIncrementalBuilder(tr)
 	g := b.AtEdge(tr.NumEdges())
-	rowptr, cols := g.CSR()
+	rowptr, cols := csrOf(g)
 	back, err := FromCSR(g.NumNodes(), rowptr, cols, g.NumEdges(), g.Time)
 	if err != nil {
 		t.Fatalf("FromCSR: %v", err)
@@ -68,7 +84,7 @@ func TestCSRRoundTripPaged(t *testing.T) {
 
 func TestFromCSRRejectsMalformed(t *testing.T) {
 	g := csrTestTrace().SnapshotAtEdge(15)
-	rowptr, cols := g.CSR()
+	rowptr, cols := csrOf(g)
 	n, e, tm := g.NumNodes(), g.NumEdges(), g.Time
 
 	cases := []struct {
@@ -102,6 +118,9 @@ func TestFromCSRRejectsMalformed(t *testing.T) {
 			cs[0], cs[1] = cs[1], cs[0]
 			return n, rp, cs, e
 		}},
+		{"rowptr entry past len(cols)", func(rp []int64, cs []NodeID) (int, []int64, []NodeID, int) {
+			return 2, []int64{0, 100, 4}, []NodeID{1, 0, 1, 0}, 2
+		}},
 		{"asymmetric", func(rp []int64, cs []NodeID) (int, []int64, []NodeID, int) {
 			// Retarget 0's entry for node 7 to node 6, which does not point
 			// back (row stays sorted: [... 5, 6]).
@@ -120,13 +139,50 @@ func TestFromCSRRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestConstructorsAgree pins the single adjacency layout: Build, an
+// incremental emission and a FromCSR round trip of the same cut agree on
+// nodes, rows, degrees and ResidentBytes — including a page whose nodes
+// have all arrived but are isolated, which every constructor leaves nil.
+func TestConstructorsAgree(t *testing.T) {
+	tr := &Trace{Name: "pages"}
+	for i := 0; i < 60; i++ {
+		for _, d := range []int{1, 7} {
+			if _, err := tr.Append(NodeID(i), NodeID((i+d)%60), int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for v := 600; v < 700; v += 3 {
+		if _, err := tr.Append(0, NodeID(v), 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tr.Append(0, 1, 101); err != nil { // duplicate, dropped
+		t.Fatal(err)
+	}
+	b := NewIncrementalBuilder(tr)
+	for _, m := range []int{0, 1, 61, 120, tr.NumEdges() - 1, tr.NumEdges()} {
+		built := tr.SnapshotAtEdge(m)
+		requireSameGraph(t, b.AtEdge(m), built, "incremental vs Build")
+		rowptr, cols := csrOf(built)
+		back, err := FromCSR(built.NumNodes(), rowptr, cols, built.NumEdges(), built.Time)
+		if err != nil {
+			t.Fatalf("FromCSR at %d: %v", m, err)
+		}
+		requireSameGraph(t, back, built, "FromCSR vs Build")
+	}
+	if g := tr.SnapshotAtEdge(tr.NumEdges()); g.NumNodes() != 700 || g.pages[1] != nil {
+		t.Fatalf("want 700 nodes with the all-isolated page 1 nil, got %v (page 1 nil: %v)", g, g.pages[1] == nil)
+	}
+}
+
 func TestIncrementalBuilderFromMatchesOffline(t *testing.T) {
 	tr := csrTestTrace()
 	total := tr.NumEdges()
 	for _, m := range []int{0, 1, 6, 10, total} {
 		seed := tr.SnapshotAtEdge(m)
 		// Route through CSR to mimic the checkpoint-recovery path exactly.
-		rowptr, cols := seed.CSR()
+		rowptr, cols := csrOf(seed)
 		loaded, err := FromCSR(seed.NumNodes(), rowptr, cols, seed.NumEdges(), seed.Time)
 		if err != nil {
 			t.Fatalf("FromCSR at %d: %v", m, err)
@@ -146,7 +202,7 @@ func TestIncrementalBuilderFromDoesNotMutateColsBuffer(t *testing.T) {
 	tr := csrTestTrace()
 	m := 8
 	seed := tr.SnapshotAtEdge(m)
-	rowptr, cols := seed.CSR()
+	rowptr, cols := csrOf(seed)
 	orig := append([]NodeID(nil), cols...)
 	loaded, err := FromCSR(seed.NumNodes(), rowptr, cols, seed.NumEdges(), seed.Time)
 	if err != nil {

@@ -7,13 +7,13 @@
 // keeps snapshots compact and lets adjacency be stored as slices rather than
 // maps even for graphs with millions of edges.
 //
-// Snapshots come in two physical layouts behind one interface: flat rows
-// (Build, Subgraph — one []NodeID per node) and paged rows (incremental
-// emissions — rows grouped into fixed-size pages so a publish only copies
-// the touched pages plus a small top-level page table). A snapshot may also
-// be partitioned (Partition non-nil): it materializes complete rows only
-// for an owned source range plus the truncated frontier rows the wedge
-// kernels intersect against, while Degree still reports full-graph degrees.
+// Every snapshot stores its adjacency in one paged layout: rows are grouped
+// into fixed-size pages under a small top-level page table, so an
+// incremental publish copies only the touched pages. Build, FromCSR,
+// PartitionView and IncrementalBuilder all emit it. A snapshot may also be
+// partitioned (Partition non-nil): it materializes complete rows only for
+// an owned source range plus the truncated frontier rows the wedge kernels
+// intersect against, while Degree still reports full-graph degrees.
 package graph
 
 import (
@@ -34,9 +34,8 @@ type Edge struct {
 	Time int64
 }
 
-// Rows are grouped into pages of 1<<pageShift nodes in the incremental
-// layout, so publishing a snapshot copies O(touched pages) instead of
-// O(nodes) row headers.
+// Rows are grouped into pages of 1<<pageShift nodes, so publishing a
+// snapshot copies O(touched pages) instead of O(nodes) row headers.
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
@@ -47,9 +46,10 @@ const (
 // time. Adjacency lists are sorted by NodeID, enabling O(log d) membership
 // tests and linear-time neighborhood intersection.
 type Graph struct {
-	adj   [][]NodeID   // flat layout; nil when paged
-	pages [][][]NodeID // paged layout; nil when flat
-	n     int          // node count in the paged layout
+	// pages[u>>pageShift][u&pageMask] is row u. A page with no non-empty
+	// row is nil.
+	pages [][][]NodeID
+	n     int
 	edges int
 	// resident counts materialized adjacency entries (each undirected edge
 	// contributes up to two). Equal to 2*edges on full snapshots; smaller on
@@ -71,18 +71,15 @@ type Partition struct {
 	// Lo, Hi bound the owned source range [Lo, Hi). Hi may exceed the
 	// snapshot's node count (an open-ended last shard); sweeps clamp.
 	Lo, Hi NodeID
-	// Full-graph degrees, in exactly one of the two layouts.
-	deg      []int32   // flat (offline views)
-	degPages [][]int32 // paged (incremental emissions)
+	// Full-graph degrees, paged like the rows; a page of zero degrees is
+	// nil.
+	degPages [][]int32
 }
 
 // Owns reports whether source u falls in the owned range.
 func (p *Partition) Owns(u NodeID) bool { return u >= p.Lo && u < p.Hi }
 
 func (p *Partition) degree(u NodeID) int {
-	if p.deg != nil {
-		return int(p.deg[u])
-	}
 	pg := p.degPages[int(u)>>pageShift]
 	if pg == nil {
 		return 0
@@ -93,26 +90,42 @@ func (p *Partition) degree(u NodeID) int {
 // Partition returns the partition descriptor, or nil for a full snapshot.
 func (g *Graph) Partition() *Partition { return g.part }
 
-// row returns the materialized adjacency row of u in either layout.
+// row returns the materialized adjacency row of u.
 func (g *Graph) row(u NodeID) []NodeID {
-	if g.pages != nil {
-		pg := g.pages[int(u)>>pageShift]
-		if pg == nil {
-			return nil
-		}
-		return pg[int(u)&pageMask]
+	pg := g.pages[int(u)>>pageShift]
+	if pg == nil {
+		return nil
 	}
-	return g.adj[u]
+	return pg[int(u)&pageMask]
 }
+
+// paged groups the per-node values at(0), ..., at(n-1) into pages,
+// allocating a page only once one of its values is kept. Every constructor
+// shares it, so equal snapshots have equal page tables (and ResidentBytes)
+// whichever path built them; IncrementalBuilder likewise touches a page
+// only on its first insert.
+func paged[T any](n int, at func(u int) T, keep func(T) bool) [][]T {
+	pages := make([][]T, (n+pageSize-1)>>pageShift)
+	for u := 0; u < n; u++ {
+		v := at(u)
+		if !keep(v) {
+			continue
+		}
+		pg := pages[u>>pageShift]
+		if pg == nil {
+			pg = make([]T, pageSize)
+			pages[u>>pageShift] = pg
+		}
+		pg[u&pageMask] = v
+	}
+	return pages
+}
+
+func nonEmpty(row []NodeID) bool { return len(row) > 0 }
 
 // NumNodes returns the number of nodes in the snapshot, including isolated
 // nodes that have arrived but created no edges yet.
-func (g *Graph) NumNodes() int {
-	if g.pages != nil {
-		return g.n
-	}
-	return len(g.adj)
-}
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of undirected edges. On a partitioned
 // snapshot this is still the full-graph count.
@@ -143,27 +156,18 @@ func (g *Graph) ResidentEntries() int64 { return g.resident }
 // columns report.
 func (g *Graph) ResidentBytes() int64 {
 	const sliceHeader = 24
-	b := g.resident * 4
-	if g.pages != nil {
-		b += int64(len(g.pages)) * sliceHeader
-		for _, pg := range g.pages {
-			if pg != nil {
-				b += pageSize * sliceHeader
-			}
+	b := g.resident*4 + int64(len(g.pages))*sliceHeader
+	for _, pg := range g.pages {
+		if pg != nil {
+			b += pageSize * sliceHeader
 		}
-	} else {
-		b += int64(len(g.adj)) * sliceHeader
 	}
 	if g.part != nil {
-		if g.part.deg != nil {
-			b += int64(len(g.part.deg)) * 4
-		} else {
-			for _, pg := range g.part.degPages {
-				if pg != nil {
-					b += pageSize * 4
-				}
+		b += int64(len(g.part.degPages)) * sliceHeader
+		for _, pg := range g.part.degPages {
+			if pg != nil {
+				b += pageSize * 4
 			}
-			b += int64(len(g.part.degPages)) * sliceHeader
 		}
 	}
 	return b
@@ -258,54 +262,49 @@ func (g *Graph) UnconnectedPairs() int64 {
 
 // Build constructs a snapshot from a set of edges over n nodes. Duplicate
 // edges and self-loops are dropped. The snapshot Time is the maximum edge
-// timestamp (zero for an empty edge set).
+// timestamp (zero for an empty edge set). All rows are carved out of one
+// backing array.
 func Build(n int, edges []Edge) *Graph {
-	g := &Graph{adj: make([][]NodeID, n)}
-	deg := make([]int32, n)
+	g := &Graph{n: n}
+	off := make([]int, n+1)
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		deg[e.U]++
-		deg[e.V]++
+		off[e.U+1]++
+		off[e.V+1]++
+		g.Time = max(g.Time, e.Time)
 	}
-	for i := range g.adj {
-		g.adj[i] = make([]NodeID, 0, deg[i])
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
 	}
+	entries := make([]NodeID, off[n])
+	next := slices.Clone(off[:n])
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
-		if e.Time > g.Time {
-			g.Time = e.Time
-		}
+		entries[next[e.U]] = e.V
+		next[e.U]++
+		entries[next[e.V]] = e.U
+		next[e.V]++
 	}
-	for u := range g.adj {
-		a := g.adj[u]
-		slices.Sort(a)
-		// Deduplicate in place.
-		w := 0
-		for i := range a {
-			if i == 0 || a[i] != a[i-1] {
-				a[w] = a[i]
-				w++
-			}
-		}
-		g.adj[u] = a[:w]
-		g.edges += w
-	}
-	g.edges /= 2
-	g.resident = 2 * int64(g.edges)
+	g.pages = paged(n, func(u int) []NodeID {
+		row := entries[off[u]:off[u+1]:off[u+1]]
+		slices.Sort(row)
+		row = slices.Compact(row)
+		g.resident += int64(len(row))
+		return row
+	}, nonEmpty)
+	g.edges = int(g.resident / 2)
 	return g
 }
 
 // PartitionView returns a partitioned view of the full snapshot g that owns
 // source range [lo, hi): complete rows for owned sources, truncated rows
 // for the 1-hop frontier (any node adjacent to an owned source), nil rows
-// elsewhere. Rows are shared with g — the view costs O(nodes) headers plus
-// a degree table, never a copy of the entries.
+// elsewhere. Rows are shared with g — the view costs a page table of row
+// headers plus a paged degree table, never a copy of the entries.
 //
 // Frontier truncation is per-row minimal: row w keeps only entries
 // >= τ_w, where τ_w is w's smallest owned neighbor. A wedge sweep from
@@ -321,52 +320,35 @@ func PartitionView(g *Graph, lo, hi NodeID) *Graph {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("graph: PartitionView range [%d, %d) invalid", lo, hi))
 	}
-	deg := make([]int32, n)
-	for u := 0; u < n; u++ {
-		deg[u] = int32(len(g.row(NodeID(u))))
-	}
-	adj := make([][]NodeID, n)
 	// tau[w] = min owned neighbor of w, or -1 when w is not frontier.
 	// Sources are visited in ascending order, so the first assignment wins.
 	tau := make([]NodeID, n)
 	for i := range tau {
 		tau[i] = -1
 	}
-	var resident int64
-	clampHi := hi
-	if clampHi > NodeID(n) {
-		clampHi = NodeID(n)
-	}
+	clampHi := min(hi, NodeID(n))
 	for u := lo; u < clampHi; u++ {
-		row := g.row(u)
-		adj[u] = row
-		resident += int64(len(row))
-		for _, w := range row {
+		for _, w := range g.row(u) {
 			if tau[w] < 0 {
 				tau[w] = u
 			}
 		}
 	}
-	for w := 0; w < n; w++ {
-		id := NodeID(w)
-		if tau[w] < 0 || (id >= lo && id < clampHi) {
-			continue
+	deg := paged(n, func(u int) int32 { return int32(len(g.row(NodeID(u)))) }, func(d int32) bool { return d > 0 })
+	view := &Graph{n: n, edges: g.edges, part: &Partition{Lo: lo, Hi: hi, degPages: deg}, Time: g.Time}
+	view.pages = paged(n, func(w int) []NodeID {
+		row, id := g.row(NodeID(w)), NodeID(w)
+		if id < lo || id >= clampHi {
+			t := tau[w]
+			if t < 0 {
+				return nil
+			}
+			row = row[sort.Search(len(row), func(i int) bool { return row[i] >= t }):]
 		}
-		row := g.row(id)
-		t := tau[w]
-		i := sort.Search(len(row), func(i int) bool { return row[i] >= t })
-		if i < len(row) {
-			adj[w] = row[i:]
-			resident += int64(len(row) - i)
-		}
-	}
-	return &Graph{
-		adj:      adj,
-		edges:    g.edges,
-		resident: resident,
-		part:     &Partition{Lo: lo, Hi: hi, deg: deg},
-		Time:     g.Time,
-	}
+		view.resident += int64(len(row))
+		return row
+	}, nonEmpty)
+	return view
 }
 
 // Subgraph returns the induced subgraph on the given node set, with node IDs

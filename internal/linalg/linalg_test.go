@@ -141,24 +141,11 @@ func ringGraph(n int) *graph.Graph {
 	return graph.Build(n, edges)
 }
 
-func mustCSR(t *testing.T, g *graph.Graph) *CSR {
-	t.Helper()
-	a, err := FromGraph(g)
-	if err != nil {
-		t.Fatalf("FromGraph: %v", err)
-	}
-	return a
-}
-
-func TestCSRFromGraph(t *testing.T) {
+func TestMulVecRing(t *testing.T) {
 	g := ringGraph(5)
-	a := mustCSR(t, g)
-	if a.N != 5 || len(a.Col) != 10 {
-		t.Fatalf("CSR dims: N=%d nnz=%d", a.N, len(a.Col))
-	}
 	x := []float64{1, 2, 3, 4, 5}
 	y := make([]float64, 5)
-	a.MulVec(x, y, 1)
+	MulVec(g, x, y, 1)
 	// Node 0 neighbors are 1 and 4: y[0] = 2 + 5.
 	if y[0] != 7 {
 		t.Fatalf("MulVec y = %v", y)
@@ -167,21 +154,20 @@ func TestCSRFromGraph(t *testing.T) {
 
 func TestMulDenseMatchesMulVec(t *testing.T) {
 	g := ringGraph(8)
-	a := mustCSR(t, g)
 	x := NewDense(8, 3)
 	rng := rand.New(rand.NewSource(1))
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
 	y := NewDense(8, 3)
-	a.MulDense(x, y, 1)
+	MulDense(g, x, y, 1)
 	col := make([]float64, 8)
 	out := make([]float64, 8)
 	for j := 0; j < 3; j++ {
 		for i := 0; i < 8; i++ {
 			col[i] = x.At(i, j)
 		}
-		a.MulVec(col, out, 1)
+		MulVec(g, col, out, 1)
 		for i := 0; i < 8; i++ {
 			if !almostEq(out[i], y.At(i, j), 1e-12) {
 				t.Fatalf("col %d row %d: %v vs %v", j, i, out[i], y.At(i, j))
@@ -198,8 +184,7 @@ func TestTopEigStar(t *testing.T) {
 		edges[i-1] = graph.Edge{U: 0, V: graph.NodeID(i), Time: int64(i)}
 	}
 	g := graph.Build(n, edges)
-	a := mustCSR(t, g)
-	vals, vecs := a.TopEig(2, 60, 1, 1)
+	vals, vecs := TopEig(g, 2, 60, 1, 1)
 	want := math.Sqrt(float64(n - 1))
 	if !almostEq(vals[0], want, 1e-6) {
 		t.Fatalf("dominant eigenvalue = %v, want %v", vals[0], want)
@@ -231,17 +216,13 @@ func TestTopEigResidualQuick(t *testing.T) {
 			})
 		}
 		g := graph.Build(n, edges)
-		a, err := FromGraph(g)
-		if err != nil {
-			return false
-		}
-		vals, vecs := a.TopEig(3, 80, seed, 1)
+		vals, vecs := TopEig(g, 3, 80, seed, 1)
 		v := make([]float64, n)
 		for i := 0; i < n; i++ {
 			v[i] = vecs.At(i, 0)
 		}
 		av := make([]float64, n)
-		a.MulVec(v, av, 1)
+		MulVec(g, v, av, 1)
 		var res float64
 		for i := 0; i < n; i++ {
 			d := av[i] - vals[0]*v[i]
@@ -256,12 +237,11 @@ func TestTopEigResidualQuick(t *testing.T) {
 
 func TestTopEigEdgeCases(t *testing.T) {
 	g := ringGraph(4)
-	a := mustCSR(t, g)
-	vals, vecs := a.TopEig(0, 10, 1, 1)
+	vals, vecs := TopEig(g, 0, 10, 1, 1)
 	if vals != nil || vecs.Cols != 0 {
 		t.Error("r=0 should return empty decomposition")
 	}
-	vals, _ = a.TopEig(10, 40, 1, 2) // r > n clamps
+	vals, _ = TopEig(g, 10, 40, 1, 2) // r > n clamps
 	if len(vals) != 4 {
 		t.Errorf("clamped rank = %d, want 4", len(vals))
 	}

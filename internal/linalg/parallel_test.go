@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -26,16 +25,17 @@ func randomTestGraph(rng *rand.Rand, n, m int) *graph.Graph {
 
 func TestMulVecWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := mustCSR(t, randomTestGraph(rng, 300, 1500))
-	x := make([]float64, a.N)
+	g := randomTestGraph(rng, 300, 1500)
+	n := g.NumNodes()
+	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	ref := make([]float64, a.N)
-	a.MulVec(x, ref, 1)
+	ref := make([]float64, n)
+	MulVec(g, x, ref, 1)
 	for _, w := range invarianceWorkers[1:] {
-		y := make([]float64, a.N)
-		a.MulVec(x, y, w)
+		y := make([]float64, n)
+		MulVec(g, x, y, w)
 		for i := range y {
 			if y[i] != ref[i] {
 				t.Fatalf("workers=%d: y[%d] = %v, want %v", w, i, y[i], ref[i])
@@ -46,16 +46,17 @@ func TestMulVecWorkerInvariance(t *testing.T) {
 
 func TestMulDenseWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	a := mustCSR(t, randomTestGraph(rng, 250, 1200))
-	x := NewDense(a.N, 9)
+	g := randomTestGraph(rng, 250, 1200)
+	n := g.NumNodes()
+	x := NewDense(n, 9)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	ref := NewDense(a.N, 9)
-	a.MulDense(x, ref, 1)
+	ref := NewDense(n, 9)
+	MulDense(g, x, ref, 1)
 	for _, w := range invarianceWorkers[1:] {
-		y := NewDense(a.N, 9)
-		a.MulDense(x, y, w)
+		y := NewDense(n, 9)
+		MulDense(g, x, y, w)
 		for i := range y.Data {
 			if y.Data[i] != ref.Data[i] {
 				t.Fatalf("workers=%d: element %d = %v, want %v", w, i, y.Data[i], ref.Data[i])
@@ -93,10 +94,10 @@ func TestMatMulWorkerInvariance(t *testing.T) {
 
 func TestTopEigWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	a := mustCSR(t, randomTestGraph(rng, 200, 900))
-	refVals, refVecs := a.TopEig(6, 40, 42, 1)
+	g := randomTestGraph(rng, 200, 900)
+	refVals, refVecs := TopEig(g, 6, 40, 42, 1)
 	for _, w := range invarianceWorkers[1:] {
-		vals, vecs := a.TopEig(6, 40, 42, w)
+		vals, vecs := TopEig(g, 6, 40, 42, w)
 		for i := range refVals {
 			if vals[i] != refVals[i] {
 				t.Fatalf("workers=%d: eigenvalue %d = %v, want %v", w, i, vals[i], refVals[i])
@@ -107,17 +108,5 @@ func TestTopEigWorkerInvariance(t *testing.T) {
 				t.Fatalf("workers=%d: eigenvector element %d differs", w, i)
 			}
 		}
-	}
-}
-
-func TestCheckCSRSizeBoundary(t *testing.T) {
-	if err := checkCSRSize(math.MaxInt32); err != nil {
-		t.Errorf("nnz = MaxInt32 should fit: %v", err)
-	}
-	if err := checkCSRSize(math.MaxInt32 + 1); err == nil {
-		t.Error("nnz = MaxInt32+1 should overflow the int32 RowPtr offsets")
-	}
-	if err := checkCSRSize(0); err != nil {
-		t.Errorf("nnz = 0: %v", err)
 	}
 }

@@ -1,8 +1,6 @@
 package linalg
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -11,73 +9,38 @@ import (
 	"linkpred/internal/par"
 )
 
-// CSR is a sparse matrix in compressed-sparse-row form with unit values,
-// exactly what an unweighted adjacency matrix needs.
-type CSR struct {
-	N      int
-	RowPtr []int32
-	Col    []graph.NodeID
-}
+// The sparse operand of every product here is a snapshot's adjacency
+// matrix, read straight from its sorted rows: A[i][j] = 1 iff j is in
+// g.Neighbors(i). Rows are visited in ascending neighbor order, so each
+// output row accumulates in one fixed order whatever the worker count.
 
-// checkCSRSize verifies the directed entry count fits the int32 RowPtr
-// offsets. Factored out so the boundary is unit-testable without allocating
-// two-billion-entry slices.
-func checkCSRSize(nnz int64) error {
-	if nnz > math.MaxInt32 {
-		return fmt.Errorf("linalg: adjacency has %d directed entries, exceeding the int32 CSR offset limit %d", nnz, int64(math.MaxInt32))
-	}
-	return nil
-}
-
-// FromGraph builds the (symmetric) adjacency matrix of g. It fails if the
-// graph's directed entry count (2|E|) overflows the int32 row offsets.
-func FromGraph(g *graph.Graph) (*CSR, error) {
-	n := g.NumNodes()
-	nnz := int64(0)
-	for u := 0; u < n; u++ {
-		nnz += int64(g.Degree(graph.NodeID(u)))
-	}
-	if err := checkCSRSize(nnz); err != nil {
-		return nil, err
-	}
-	c := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	c.Col = make([]graph.NodeID, 0, nnz)
-	for u := 0; u < n; u++ {
-		c.Col = append(c.Col, g.Neighbors(graph.NodeID(u))...)
-		c.RowPtr[u+1] = int32(len(c.Col))
-	}
-	return c, nil
-}
-
-// mulVecRange computes rows [lo, hi) of y = A x.
-func (a *CSR) mulVecRange(x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += x[a.Col[k]]
+// MulVec computes y = A x across workers goroutines, where A is g's
+// adjacency matrix. y must have length g.NumNodes() and is overwritten.
+// Each output row is owned by exactly one worker and accumulates in the
+// same neighbor order as a serial run, so the result is bit-identical at
+// any worker count.
+func MulVec(g *graph.Graph, x, y []float64, workers int) {
+	par.ShardRange(g.NumNodes(), workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			var s float64
+			for _, v := range g.Neighbors(graph.NodeID(i)) {
+				s += x[v]
+			}
+			y[i] = s
 		}
-		y[i] = s
-	}
-}
-
-// MulVec computes y = A x across workers goroutines. y must have length N
-// and is overwritten. Each output row is owned by exactly one worker and
-// accumulates in the same neighbor order as a serial run, so the result is
-// bit-identical at any worker count.
-func (a *CSR) MulVec(x, y []float64, workers int) {
-	par.ShardRange(a.N, workers, func(_, lo, hi int) { a.mulVecRange(x, y, lo, hi) })
+	})
 }
 
 // mulDenseRange computes rows [lo, hi) of Y = A X.
-func (a *CSR) mulDenseRange(x, y *Dense, lo, hi int) {
+func mulDenseRange(g *graph.Graph, x, y *Dense, lo, hi int) {
 	r := x.Cols
 	for i := lo; i < hi; i++ {
 		yrow := y.Row(i)
 		for j := 0; j < r; j++ {
 			yrow[j] = 0
 		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			xrow := x.Row(int(a.Col[k]))
+		for _, v := range g.Neighbors(graph.NodeID(i)) {
+			xrow := x.Row(int(v))
 			for j := 0; j < r; j++ {
 				yrow[j] += xrow[j]
 			}
@@ -85,17 +48,17 @@ func (a *CSR) mulDenseRange(x, y *Dense, lo, hi int) {
 	}
 }
 
-// MulDense computes Y = A X for a dense n x r matrix X across workers
-// goroutines, overwriting Y. Row ownership keeps the per-row accumulation
-// order identical to a serial run, so the result is bit-identical at any
-// worker count.
-func (a *CSR) MulDense(x, y *Dense, workers int) {
+// MulDense computes Y = A X for g's adjacency matrix A and a dense n x r
+// matrix X across workers goroutines, overwriting Y. Row ownership keeps
+// the per-row accumulation order identical to a serial run, so the result
+// is bit-identical at any worker count.
+func MulDense(g *graph.Graph, x, y *Dense, workers int) {
 	var start time.Time
 	track := obs.Enabled()
 	if track {
 		start = time.Now()
 	}
-	par.ShardRange(a.N, workers, func(_, lo, hi int) { a.mulDenseRange(x, y, lo, hi) })
+	par.ShardRange(g.NumNodes(), workers, func(_, lo, hi int) { mulDenseRange(g, x, y, lo, hi) })
 	if track {
 		obs.GetHistogram("linalg/mul_dense_ns").Observe(time.Since(start).Nanoseconds())
 	}
@@ -111,8 +74,8 @@ func transposeInto(dst, src *Dense) {
 	}
 }
 
-// TopEig approximates the r dominant (largest magnitude) eigenpairs of the
-// symmetric matrix a using subspace iteration with Rayleigh-Ritz extraction,
+// TopEig approximates the r dominant (largest magnitude) eigenpairs of g's
+// adjacency matrix using subspace iteration with Rayleigh-Ritz extraction,
 // spreading the sparse multiplies and the Ritz projection over workers
 // goroutines. Eigenvalues are returned in descending order of signed value;
 // the i-th column of vecs is the eigenvector for vals[i].
@@ -122,12 +85,13 @@ func transposeInto(dst, src *Dense) {
 // random initialization and every float operation replay the historical
 // n x r element order, so results are bit-identical to the original serial
 // column-major implementation at any worker count.
-func (a *CSR) TopEig(r, iters int, seed int64, workers int) (vals []float64, vecs *Dense) {
-	if r > a.N {
-		r = a.N
+func TopEig(g *graph.Graph, r, iters int, seed int64, workers int) (vals []float64, vecs *Dense) {
+	n := g.NumNodes()
+	if r > n {
+		r = n
 	}
 	if r <= 0 {
-		return nil, NewDense(a.N, 0)
+		return nil, NewDense(n, 0)
 	}
 	var startAll time.Time
 	track := obs.Enabled()
@@ -135,28 +99,28 @@ func (a *CSR) TopEig(r, iters int, seed int64, workers int) (vals []float64, vec
 		startAll = time.Now()
 	}
 	rng := rand.New(rand.NewSource(seed))
-	qt := NewDense(r, a.N) // basis vectors as rows
+	qt := NewDense(r, n) // basis vectors as rows
 	// Draw in the element order of the historical row-major n x r fill so
 	// the starting subspace (and therefore every downstream float) matches
 	// the original implementation exactly.
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < n; i++ {
 		for j := 0; j < r; j++ {
-			qt.Data[j*a.N+i] = rng.NormFloat64()
+			qt.Data[j*n+i] = rng.NormFloat64()
 		}
 	}
 	qrRows(qt, rng)
-	q := NewDense(a.N, r)
-	y := NewDense(a.N, r)
+	q := NewDense(n, r)
+	y := NewDense(n, r)
 	for it := 0; it < iters; it++ {
 		transposeInto(q, qt)
-		a.MulDense(q, y, workers)
+		MulDense(g, q, y, workers)
 		transposeInto(qt, y)
 		qrRows(qt, rng)
 	}
 	// Rayleigh-Ritz: T = Q^T A Q, then rotate Q by T's eigenvectors.
 	transposeInto(q, qt)
-	a.MulDense(q, y, workers) // y = A Q
-	yt := NewDense(r, a.N)
+	MulDense(g, q, y, workers) // y = A Q
+	yt := NewDense(r, n)
 	transposeInto(yt, y)
 	t := NewDense(r, r)
 	par.ShardRangeMin(r, workers, 2, func(_, lo, hi int) {

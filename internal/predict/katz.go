@@ -37,8 +37,7 @@ func katzFactors(g *graph.Graph, opt Options) (scaled, raw *linalg.Dense) {
 	}
 	key := fmt.Sprintf("predict/katz/r=%d,it=%d,beta=%v,seed=%d", rank, iters, opt.KatzBeta, opt.Seed)
 	return factorPair(g, key, func() (*linalg.Dense, *linalg.Dense) {
-		a := snapCSR(g)
-		vals, vecs := a.TopEig(rank, iters, opt.Seed, workerCount(opt))
+		vals, vecs := linalg.TopEig(g, rank, iters, opt.Seed, workerCount(opt))
 		scaled := vecs.Clone()
 		for i, lam := range vals {
 			f := 0.0

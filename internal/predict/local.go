@@ -103,8 +103,8 @@ func (m *localMetric) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []fl
 // how narrow the shard's SourceRange is, and uncached it was the serial
 // term pinning BCN/BAA/BRA to ~1.8× at 4 shards.
 func cachedNaiveBayes(g *graph.Graph, opt Options) *naiveBayes {
-	v, _ := snapcache.For(g).Artifact("predict/naivebayes", func() (any, error) {
-		return newNaiveBayes(g, Options{Workers: opt.Workers}), nil
+	v := snapcache.For(g).Artifact("predict/naivebayes", func() any {
+		return newNaiveBayes(g, Options{Workers: opt.Workers})
 	})
 	return v.(*naiveBayes)
 }

@@ -68,13 +68,13 @@ const pruneBatchMin = 512
 // local sweep over g — the work estimate behind the worker clamp. Cached
 // per snapshot.
 func wedgeWork(g *graph.Graph) int64 {
-	v, _ := snapcache.For(g).Artifact("predict/wedgework", func() (any, error) {
+	v := snapcache.For(g).Artifact("predict/wedgework", func() any {
 		var t int64
 		for u := 0; u < g.NumNodes(); u++ {
 			d := int64(g.Degree(graph.NodeID(u)))
 			t += d * d
 		}
-		return t, nil
+		return t
 	})
 	return v.(int64)
 }

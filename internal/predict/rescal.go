@@ -55,7 +55,6 @@ func rescalFactors(g *graph.Graph, opt Options) (xr, x *linalg.Dense) {
 }
 
 func buildRescalFactors(g *graph.Graph, opt Options, n, rank, iters int, lambda float64) (xr, x *linalg.Dense) {
-	a := snapCSR(g)
 	workers := workerCount(opt)
 	// Spectral initialization: start X at the dominant eigenvectors of A
 	// (perturbed slightly to break symmetric ALS stationary points). This
@@ -64,7 +63,7 @@ func buildRescalFactors(g *graph.Graph, opt Options, n, rank, iters int, lambda 
 	// axes, which is the structure the paper credits for Rescal's YouTube
 	// performance (§4.2).
 	rng := rand.New(rand.NewSource(opt.Seed ^ 0x7e5ca1))
-	_, vecs := a.TopEig(rank, 30, opt.Seed^0x7e5ca1, workers)
+	_, vecs := linalg.TopEig(g, rank, 30, opt.Seed^0x7e5ca1, workers)
 	x = vecs.Clone()
 	for i := range x.Data {
 		x.Data[i] += rng.NormFloat64() * 1e-3
@@ -75,7 +74,7 @@ func buildRescalFactors(g *graph.Graph, opt Options, n, rank, iters int, lambda 
 		// R update: R = (XᵀX + λI)⁻¹ XᵀAX (XᵀX + λI)⁻¹.
 		xtx := x.T().MatMul(x, workers)
 		xtx.AddDiag(lambda)
-		a.MulDense(x, ax, workers)
+		linalg.MulDense(g, x, ax, workers)
 		xtax := x.T().MatMul(ax, workers)
 		tmp := linalg.CholSolve(xtx, xtax)     // (XᵀX+λI)⁻¹ XᵀAX
 		r = linalg.CholSolve(xtx, tmp.T()).T() // ... (XᵀX+λI)⁻¹, using symmetry
@@ -94,7 +93,7 @@ func buildRescalFactors(g *graph.Graph, opt Options, n, rank, iters int, lambda 
 				rrt.Set(i, j, r.At(i, j)+r.At(j, i))
 			}
 		}
-		a.MulDense(x, ax, workers)
+		linalg.MulDense(g, x, ax, workers)
 		b := ax.MatMul(rrt, workers)
 		x = linalg.CholSolve(s, b.T()).T()
 	}

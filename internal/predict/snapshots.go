@@ -7,36 +7,24 @@ import (
 )
 
 // This file binds the algorithms to the per-snapshot artifact cache
-// (internal/snapcache): the CSR adjacency, log-degree table, and latent
-// factor matrices are built once per snapshot and shared across algorithms,
-// worker counts, and Predict/ScorePairs calls. Every cached artifact is a
-// deterministic, worker-count-invariant function of the graph and the
-// parameters encoded in its key, so cache hits can never change output —
-// the worker-invariance suite exercises both cold and warm paths.
-
-// snapCSR returns the snapshot's shared CSR adjacency. The only build error
-// is the int32 offset overflow guard (≥ 2³¹ directed entries), which no
-// in-memory snapshot on this substrate can reach, hence panic over error
-// plumbing through the Algorithm interface.
-func snapCSR(g *graph.Graph) *linalg.CSR {
-	c, err := snapcache.For(g).CSR()
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+// (internal/snapcache): the log-degree table and latent factor matrices are
+// built once per snapshot and shared across algorithms, worker counts, and
+// Predict/ScorePairs calls. Every cached artifact is a deterministic,
+// worker-count-invariant function of the graph and the parameters encoded
+// in its key, so cache hits can never change output — the worker-invariance
+// suite exercises both cold and warm paths.
 
 // logDegTable returns the shared per-node nonNegLog(deg) table used by the
 // log-weighted witnesses (AA, BAA). Values are exactly nonNegLog of the
 // degree, so table lookups keep the fused kernels bit-identical to the
 // reference folds.
 func logDegTable(g *graph.Graph) []float64 {
-	v, _ := snapcache.For(g).Artifact("predict/logdeg", func() (any, error) {
+	v := snapcache.For(g).Artifact("predict/logdeg", func() any {
 		t := make([]float64, g.NumNodes())
 		for i := range t {
 			t[i] = nonNegLog(float64(g.Degree(graph.NodeID(i))))
 		}
-		return t, nil
+		return t
 	})
 	return v.([]float64)
 }
@@ -47,9 +35,9 @@ func logDegTable(g *graph.Graph) []float64 {
 // bit-identical at any worker count (pinned by TestLatentFactorsWorkerInvariance),
 // so a factor computed by one engine configuration is valid for all.
 func factorPair(g *graph.Graph, key string, build func() (*linalg.Dense, *linalg.Dense)) (*linalg.Dense, *linalg.Dense) {
-	v, _ := snapcache.For(g).Artifact(key, func() (any, error) {
+	v := snapcache.For(g).Artifact(key, func() any {
 		a, b := build()
-		return [2]*linalg.Dense{a, b}, nil
+		return [2]*linalg.Dense{a, b}
 	})
 	f := v.([2]*linalg.Dense)
 	return f[0], f[1]

@@ -1,9 +1,11 @@
 // Package snapcache is the per-snapshot artifact cache shared by every
-// algorithm scoring one evaluation cut. A snapshot's CSR adjacency, its
-// degree-descending order, the top-degree block mask, and algorithm-owned
-// derived artifacts (log-degree tables, latent factor matrices) are built
-// lazily once and shared by all subsequent algorithms, worker counts, and
-// Predict/ScorePairs calls against the same *graph.Graph.
+// algorithm scoring one evaluation cut. A snapshot's degree-descending
+// order, the top-degree block mask, its degree-ordered relabeling, and
+// algorithm-owned derived artifacts (log-degree tables, latent factor
+// matrices) are built lazily once and shared by all subsequent algorithms,
+// worker counts, and Predict/ScorePairs calls against the same
+// *graph.Graph. The sorted adjacency itself is never copied: every
+// algorithm, the latent multiplies included, reads the snapshot's own rows.
 //
 // Correctness constraints:
 //
@@ -12,10 +14,10 @@
 //     artifacts are live; eviction drops the graph and all artifacts
 //     together.
 //   - Artifact builders must be deterministic functions of the graph and the
-//     key. Callers encode every parameter that changes the result (rank,
-//     iterations, seed, ...) into the key; worker counts are deliberately
-//     excluded because every builder in this repository is bit-identical at
-//     any worker count (DESIGN.md §8).
+//     key, and cannot fail. Callers encode every parameter that changes the
+//     result (rank, iterations, seed, ...) into the key; worker counts are
+//     deliberately excluded because every builder in this repository is
+//     bit-identical at any worker count (DESIGN.md §8).
 //   - Values are shared read-only across goroutines after construction.
 //
 // Telemetry: snapcache/{hits,misses} counters and the snapcache/build_ns
@@ -32,7 +34,6 @@ import (
 
 	"linkpred/internal/csr"
 	"linkpred/internal/graph"
-	"linkpred/internal/linalg"
 	"linkpred/internal/obs"
 )
 
@@ -110,7 +111,6 @@ type Artifacts struct {
 type entry struct {
 	once sync.Once
 	val  any
-	err  error
 }
 
 // Graph returns the snapshot these artifacts belong to.
@@ -118,9 +118,8 @@ func (a *Artifacts) Graph() *graph.Graph { return a.g }
 
 // Artifact returns the value under key, building it at most once per
 // snapshot via build. Concurrent callers for the same key block on the
-// first builder; other keys proceed independently. The error, like the
-// value, is cached.
-func (a *Artifacts) Artifact(key string, build func() (any, error)) (any, error) {
+// first builder; other keys proceed independently.
+func (a *Artifacts) Artifact(key string, build func() any) any {
 	a.mu.Lock()
 	e, hit := a.entries[key]
 	if !hit {
@@ -138,29 +137,12 @@ func (a *Artifacts) Artifact(key string, build func() (any, error)) (any, error)
 			start = time.Now()
 			obs.GetCounter("snapcache/misses").Inc()
 		}
-		e.val, e.err = build()
+		e.val = build()
 		if track {
 			obs.GetHistogram("snapcache/build_ns").Observe(time.Since(start).Nanoseconds())
 		}
 	})
-	return e.val, e.err
-}
-
-// CSR returns the snapshot's shared adjacency matrix, building it on first
-// use. The construction error (int32 offset overflow) is cached and
-// returned to every caller.
-func (a *Artifacts) CSR() (*linalg.CSR, error) {
-	v, err := a.Artifact("csr", func() (any, error) {
-		c, err := linalg.FromGraph(a.g)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*linalg.CSR), nil
+	return e.val
 }
 
 // CSRView returns the snapshot's degree-ordered relabeling and hub-block
@@ -168,8 +150,8 @@ func (a *Artifacts) CSR() (*linalg.CSR, error) {
 // The view is shared read-only; its Order agrees element-for-element with
 // DegreeOrder.
 func (a *Artifacts) CSRView() *csr.View {
-	v, _ := a.Artifact("csrview", func() (any, error) {
-		return csr.Build(a.g, csr.DefaultHubBudget), nil
+	v := a.Artifact("csrview", func() any {
+		return csr.Build(a.g, csr.DefaultHubBudget)
 	})
 	return v.(*csr.View)
 }
@@ -179,7 +161,7 @@ func (a *Artifacts) CSRView() *csr.View {
 // candidate block, PA's frontier walk, and landmark selection. The slice is
 // shared and must not be modified.
 func (a *Artifacts) DegreeOrder() []graph.NodeID {
-	v, _ := a.Artifact("degree-order", func() (any, error) {
+	v := a.Artifact("degree-order", func() any {
 		n := a.g.NumNodes()
 		order := make([]graph.NodeID, n)
 		for i := range order {
@@ -191,7 +173,7 @@ func (a *Artifacts) DegreeOrder() []graph.NodeID {
 			}
 			return cmp.Compare(x, y)
 		})
-		return order, nil
+		return order
 	})
 	return v.([]graph.NodeID)
 }
@@ -214,7 +196,7 @@ func (a *Artifacts) Block(size int) *Block {
 	if size < 0 {
 		size = 0
 	}
-	v, _ := a.Artifact(fmt.Sprintf("block/%d", size), func() (any, error) {
+	v := a.Artifact(fmt.Sprintf("block/%d", size), func() any {
 		order := a.DegreeOrder()
 		b := &Block{
 			Order: order[:size],
@@ -228,7 +210,7 @@ func (a *Artifacts) Block(size int) *Block {
 			b.In[u] = true
 			b.Pos[u] = int32(i)
 		}
-		return b, nil
+		return b
 	})
 	return v.(*Block)
 }

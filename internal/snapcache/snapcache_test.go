@@ -1,7 +1,6 @@
 package snapcache
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -26,40 +25,19 @@ func TestArtifactBuildsOncePerSnapshot(t *testing.T) {
 	Reset()
 	a := For(pathGraph(5))
 	builds := 0
-	get := func() (int, error) {
-		v, err := a.Artifact("k", func() (any, error) {
+	get := func() int {
+		return a.Artifact("k", func() any {
 			builds++
-			return builds, nil
-		})
-		return v.(int), err
+			return builds
+		}).(int)
 	}
 	for i := 0; i < 3; i++ {
-		v, err := get()
-		if err != nil || v != 1 {
-			t.Fatalf("call %d: v=%d err=%v", i, v, err)
+		if v := get(); v != 1 {
+			t.Fatalf("call %d: v=%d", i, v)
 		}
 	}
 	if builds != 1 {
 		t.Fatalf("builder ran %d times", builds)
-	}
-}
-
-func TestArtifactCachesError(t *testing.T) {
-	Reset()
-	a := For(pathGraph(3))
-	builds := 0
-	boom := errors.New("boom")
-	for i := 0; i < 2; i++ {
-		_, err := a.Artifact("bad", func() (any, error) {
-			builds++
-			return nil, boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("call %d: err = %v", i, err)
-		}
-	}
-	if builds != 1 {
-		t.Fatalf("failed builder retried: %d builds", builds)
 	}
 }
 
@@ -102,13 +80,9 @@ func TestHitMissCounters(t *testing.T) {
 	obs.Reset()
 	Reset()
 	a := For(pathGraph(6))
-	if _, err := a.CSR(); err != nil {
-		t.Fatal(err)
-	}
+	a.CSRView()
 	a.DegreeOrder()
-	if _, err := a.CSR(); err != nil { // hit
-		t.Fatal(err)
-	}
+	a.CSRView()     // hit
 	a.DegreeOrder() // hit
 	if got := counterValue("snapcache/misses"); got != 2 {
 		t.Errorf("misses = %d, want 2", got)
@@ -159,10 +133,9 @@ func TestConcurrentArtifactAccess(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _ := For(g).Artifact(fmt.Sprintf("k%d", i%4), func() (any, error) {
-				return new(int), nil
+			vals[i] = For(g).Artifact(fmt.Sprintf("k%d", i%4), func() any {
+				return new(int)
 			})
-			vals[i] = v
 		}(i)
 	}
 	wg.Wait()
